@@ -345,11 +345,12 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         });
     }
 
-    // --- parallel exact search (identical cases in quick and full mode):
-    // the headline symmetry-pruned exact workload at 1 and 4 search
-    // workers. The `-jobs1`/`-jobs4` suffixes feed the same scaling gate
-    // as the batch zoo (enforced only on multi-core hosts); the jobs1
-    // case is the regression anchor for the orbit-pruned search itself.
+    // --- parallel candidate scoring (identical cases in quick and full
+    // mode): the headline symmetry-pruned exact workload at 1 and 4
+    // scoring workers (VF2 enumeration is sequential either way). The
+    // `-jobs1`/`-jobs4` suffixes feed the same scaling gate as the batch
+    // zoo (enforced only on multi-core hosts); the jobs1 case is the
+    // regression anchor for the orbit-pruned search itself.
     {
         let grid88 = topologies::grid(8, 8, Delays::default());
         let qft6 = library::qft(6);
@@ -358,8 +359,8 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
                 .strategy(Strategy::Exact)
                 .search_jobs(jobs)
         };
-        // Determinism gate before timing: the parallel search must
-        // return the sequential answer bit-for-bit.
+        // Determinism gate before timing: parallel scoring must return
+        // the sequential answer bit-for-bit.
         {
             let seq = Placer::new(&grid88, exact_config(1))
                 .place(&qft6)

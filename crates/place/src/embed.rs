@@ -38,65 +38,28 @@ pub fn candidate_placements(
         previous,
         k,
         &mut vf2::Budget::unlimited(),
+        None,
     )
 }
 
-/// [`candidate_placements`] under a search budget: the monomorphism
-/// enumeration charges the shared `meter` per visited search node and the
-/// call fails with [`PlaceError::BudgetExhausted`] if the meter trips
-/// before the enumeration finishes (exactness is all-or-nothing; the
-/// anytime strategies catch the error and fall back).
+/// [`candidate_placements`] under a search budget, optionally pruned by
+/// fast-graph node orbits. The monomorphism enumeration charges the
+/// shared `meter` per visited search node and the call fails with
+/// [`PlaceError::BudgetExhausted`] if the meter trips before the
+/// enumeration finishes (exactness is all-or-nothing; the anytime
+/// strategies catch the error and fall back).
 ///
-/// # Errors
-///
-/// As [`candidate_placements`], plus [`PlaceError::BudgetExhausted`].
-pub fn candidate_placements_budgeted(
+/// `root_orbits` (from verified automorphisms) explores one VF2 root per
+/// orbit. The caller is responsible for only passing orbits when
+/// symmetric candidates are genuinely interchangeable (first stage on a
+/// symmetric device, no prior placement breaking the symmetry).
+pub(crate) fn candidate_placements_budgeted(
     interaction: &Graph,
     fast: &Graph,
     previous: Option<&Placement>,
     k: usize,
     meter: &mut vf2::Budget,
-) -> Result<Vec<Placement>> {
-    candidate_placements_searched(
-        interaction,
-        fast,
-        previous,
-        k,
-        meter,
-        &SearchOptions::default(),
-    )
-}
-
-/// Knobs for the monomorphism search behind candidate enumeration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SearchOptions<'o> {
-    /// Worker threads over the VF2 root candidates (`0`/`1` sequential).
-    /// Results are bit-identical to sequential for node budgets.
-    pub jobs: usize,
-    /// Fast-graph node orbits from verified automorphisms: when set,
-    /// only one VF2 root per orbit is explored. The caller is
-    /// responsible for only passing orbits when symmetric candidates
-    /// are genuinely interchangeable (first stage on a symmetric
-    /// device, no prior placement breaking the symmetry).
-    pub root_orbits: Option<&'o [usize]>,
-}
-
-/// [`candidate_placements_budgeted`] with explicit [`SearchOptions`]:
-/// the enumeration runs on the root-parallel, optionally orbit-pruned
-/// VF2 kernel. With default options this is exactly
-/// [`candidate_placements_budgeted`] — same candidates, same budget
-/// accounting.
-///
-/// # Errors
-///
-/// As [`candidate_placements_budgeted`].
-pub fn candidate_placements_searched(
-    interaction: &Graph,
-    fast: &Graph,
-    previous: Option<&Placement>,
-    k: usize,
-    meter: &mut vf2::Budget,
-    options: &SearchOptions<'_>,
+    root_orbits: Option<&[usize]>,
 ) -> Result<Vec<Placement>> {
     let n = interaction.node_count();
     let m = fast.node_count();
@@ -128,19 +91,12 @@ pub fn candidate_placements_searched(
         );
     }
 
-    // Enumerate monomorphisms on the root-decomposed kernel (parallel
-    // across roots when `options.jobs > 1`, pruned to one root per
-    // orbit when orbits are supplied), then complete each into a total
-    // placement through reusable scratch buffers. The kernel's replay
-    // merge guarantees the solution list and budget accounting match
-    // the sequential search bit for bit.
-    let parallel = vf2::ParallelOptions {
-        jobs: options.jobs,
-        root_orbits: options.root_orbits,
-    };
+    // Enumerate monomorphisms (one root per orbit when orbits are
+    // supplied), then complete each into a total placement through
+    // reusable scratch buffers.
     let (maps, run) = MonomorphismFinder::new(&pattern, fast)
         .limit(k)
-        .collect_budgeted(meter, &parallel);
+        .collect_budgeted(meter, root_orbits);
     if run.outcome == vf2::Outcome::BudgetExhausted {
         return Err(PlaceError::BudgetExhausted {
             nodes: meter.nodes_visited(),
@@ -333,6 +289,40 @@ mod tests {
                     "interaction ({a},{b}) not on a fast edge"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn budgeted_enumeration_fails_when_the_meter_trips() {
+        let ig = interaction(3, &[(0, 1), (1, 2)]);
+        let fast = generate::grid(4, 4);
+        let mut meter = vf2::Budget::max_nodes(1);
+        let err = candidate_placements_budgeted(&ig, &fast, None, 100, &mut meter, None)
+            .expect_err("a one-node cap cannot finish the enumeration");
+        match err {
+            PlaceError::BudgetExhausted { nodes } => assert_eq!(nodes, meter.nodes_visited()),
+            other => panic!("expected BudgetExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn root_orbits_keep_one_root_per_orbit() {
+        // An edge into a ring of 6: 12 candidates unpruned; the ring is
+        // vertex-transitive, so a single orbit leaves the two orientations
+        // rooted at nucleus 0, both among the unpruned candidates.
+        let ig = interaction(2, &[(0, 1)]);
+        let fast = generate::ring(6);
+        let all = candidate_placements(&ig, &fast, None, 100).unwrap();
+        assert_eq!(all.len(), 12);
+        let orbits = vec![0; fast.node_count()];
+        let mut meter = vf2::Budget::unlimited();
+        let pruned =
+            candidate_placements_budgeted(&ig, &fast, None, 100, &mut meter, Some(&orbits))
+                .unwrap();
+        assert_eq!(pruned.len(), 2);
+        for c in &pruned {
+            assert_eq!(c.physical(q(0)), p(0));
+            assert!(all.iter().any(|a| a.same_assignment(c)));
         }
     }
 }

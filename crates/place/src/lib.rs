@@ -22,8 +22,8 @@
 //!    ([`cost`]).
 //!
 //! Reference strategies live in [`baselines`] (exhaustive search,
-//! annealing, whole-circuit placement) and the §4 NP-completeness
-//! reduction in [`reduction`]. For many independent requests at once —
+//! random assignment, whole-circuit placement) and the §4
+//! NP-completeness reduction in [`reduction`]. For many independent requests at once —
 //! N circuits × M environments — [`batch`] fans the work out across
 //! worker threads with deterministic, worker-count-independent outcomes.
 //!

@@ -8,7 +8,7 @@ use qcp_graph::traversal::connected_components;
 use qcp_graph::{vf2, Graph};
 
 use crate::cost::{CostEngine, CostModel, Schedule};
-use crate::embed::{candidate_placements_searched, SearchOptions};
+use crate::embed::candidate_placements_budgeted;
 use crate::finetune::fine_tune;
 use crate::router::{route_permutation, RouterConfig, SwapSchedule};
 use crate::strategy::{strategy_for, AnnealConfig, Resolution, SearchBudget, Strategy};
@@ -47,10 +47,11 @@ pub struct PlacerConfig {
     pub budget: SearchBudget,
     /// Annealing knobs for the heuristic strategies.
     pub anneal: AnnealConfig,
-    /// Worker threads for the exact search (VF2 root subtrees and
-    /// candidate scoring). `1` (the default) runs sequentially; `0`
-    /// uses the machine's available parallelism. Results are
-    /// bit-identical across worker counts for node-budgeted searches.
+    /// Worker threads for exact-search candidate scoring (VF2
+    /// enumeration itself is sequential). `1` (the default) runs
+    /// sequentially; `0` uses the machine's available parallelism.
+    /// Results are bit-identical across worker counts for node-budgeted
+    /// searches.
     pub search_jobs: usize,
 }
 
@@ -130,7 +131,7 @@ impl PlacerConfig {
         self
     }
 
-    /// Sets the exact-search worker count (`0` auto-detects the
+    /// Sets the candidate-scoring worker count (`0` auto-detects the
     /// machine's available parallelism, `1` runs sequentially).
     #[must_use]
     pub fn search_jobs(mut self, jobs: usize) -> Self {
@@ -385,21 +386,18 @@ impl<'e> Placer<'e> {
             // suffices. Later stages (and the lookahead set, whose members
             // are scored relative to a *fixed* current candidate) have the
             // symmetry broken by the incumbent placement.
-            let search = SearchOptions {
-                jobs,
-                root_orbits: if previous.is_none() {
-                    self.symmetry.as_deref()
-                } else {
-                    None
-                },
+            let root_orbits = if previous.is_none() {
+                self.symmetry.as_deref()
+            } else {
+                None
             };
-            let candidates = candidate_placements_searched(
+            let candidates = candidate_placements_budgeted(
                 &ws.interaction,
                 &self.fast,
                 previous.as_ref(),
                 self.config.max_candidates,
                 meter,
-                &search,
+                root_orbits,
             )?;
             if candidates.is_empty() {
                 // extract_workspaces guarantees embeddability.
@@ -411,16 +409,13 @@ impl<'e> Placer<'e> {
             // Lookahead: raw candidates for the next workspace.
             let lookahead_set = if self.config.lookahead {
                 workspaces.get(wi + 1).map(|next| {
-                    candidate_placements_searched(
+                    candidate_placements_budgeted(
                         &next.interaction,
                         &self.fast,
                         previous.as_ref(),
                         self.config.max_candidates,
                         meter,
-                        &SearchOptions {
-                            jobs,
-                            root_orbits: None,
-                        },
+                        None,
                     )
                 })
             } else {

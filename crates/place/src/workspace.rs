@@ -61,10 +61,18 @@ impl Workspace {
 /// cannot be aligned even alone — i.e. the fast graph has no edges at all
 /// (the paper's N/A case).
 pub fn extract_workspaces(circuit: &Circuit, fast: &Graph) -> Result<Vec<Workspace>> {
-    extract_workspaces_with(circuit, fast, ExtractionOptions::default())
+    extract_workspaces_budgeted(
+        circuit,
+        fast,
+        ExtractionOptions::default(),
+        &mut vf2::Budget::unlimited(),
+    )
 }
 
-/// [`extract_workspaces`] with explicit [`ExtractionOptions`].
+/// [`extract_workspaces`] with explicit [`ExtractionOptions`] under a
+/// search budget: every embeddability check charges the shared `meter`,
+/// and extraction aborts with [`PlaceError::BudgetExhausted`] once it
+/// trips.
 ///
 /// With `commutation_aware` set, a gate that would break the current
 /// workspace is *deferred* instead of closing it, and later gates that
@@ -72,26 +80,7 @@ pub fn extract_workspaces(circuit: &Circuit, fast: &Graph) -> Result<Vec<Workspa
 /// gates seed the next workspace in their original order. The
 /// transformation is sound: a gate only ever jumps over gates it commutes
 /// with.
-///
-/// # Errors
-///
-/// As [`extract_workspaces`].
-pub fn extract_workspaces_with(
-    circuit: &Circuit,
-    fast: &Graph,
-    options: ExtractionOptions,
-) -> Result<Vec<Workspace>> {
-    extract_workspaces_budgeted(circuit, fast, options, &mut vf2::Budget::unlimited())
-}
-
-/// [`extract_workspaces_with`] under a search budget: every embeddability
-/// check charges the shared `meter`, and extraction aborts with
-/// [`PlaceError::BudgetExhausted`] once it trips.
-///
-/// # Errors
-///
-/// As [`extract_workspaces`], plus [`PlaceError::BudgetExhausted`].
-pub fn extract_workspaces_budgeted(
+pub(crate) fn extract_workspaces_budgeted(
     circuit: &Circuit,
     fast: &Graph,
     options: ExtractionOptions,
@@ -441,13 +430,14 @@ mod tests {
         // workspace 2 behind the blocker.
         assert_eq!(plain[0].gate_count(), 3);
         assert_eq!(plain[1].gate_count(), 2);
-        let smart = extract_workspaces_with(
+        let smart = extract_workspaces_budgeted(
             &c,
             &fast,
             ExtractionOptions {
                 commutation_aware: true,
                 max_gates: None,
             },
+            &mut vf2::Budget::unlimited(),
         )
         .unwrap();
         assert_eq!(smart.len(), 2);
@@ -470,13 +460,14 @@ mod tests {
         )
         .unwrap();
         let fast = generate::chain(3);
-        let smart = extract_workspaces_with(
+        let smart = extract_workspaces_budgeted(
             &c,
             &fast,
             ExtractionOptions {
                 commutation_aware: true,
                 max_gates: None,
             },
+            &mut vf2::Budget::unlimited(),
         )
         .unwrap();
         assert_eq!(smart.len(), 2);
@@ -489,13 +480,14 @@ mod tests {
     fn max_gates_caps_workspaces() {
         let c = library::pseudo_cat(5); // 1 workspace normally
         let fast = generate::chain(5);
-        let capped = extract_workspaces_with(
+        let capped = extract_workspaces_budgeted(
             &c,
             &fast,
             ExtractionOptions {
                 commutation_aware: false,
                 max_gates: Some(10),
             },
+            &mut vf2::Budget::unlimited(),
         )
         .unwrap();
         assert!(capped.len() >= 2, "cap must split the single workspace");
@@ -517,13 +509,14 @@ mod tests {
         let env = molecules::trans_crotonic_acid();
         let fast = env.fast_graph(Threshold::new(200.0));
         let c = library::qft(6);
-        let smart = extract_workspaces_with(
+        let smart = extract_workspaces_budgeted(
             &c,
             &fast,
             ExtractionOptions {
                 commutation_aware: true,
                 max_gates: None,
             },
+            &mut vf2::Budget::unlimited(),
         )
         .unwrap();
         let total: usize = smart.iter().map(|w| w.circuit.gate_count()).sum();

@@ -1,13 +1,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-//! Parallel-parity suite: exact search with `search_jobs = N` must be
-//! **bit-identical** to the sequential search — same candidates in the
-//! same order, same budget accounting, same outcome or error — for every
-//! worker count. The kernel's deterministic replay merge and the
-//! placer's schedule-independent metering make this a hard guarantee,
-//! not a statistical one, so these tests compare full outcome
-//! fingerprints (runtime bits, every stage placement, every swap count,
-//! exhaustion node counts) across worker counts 1/2/4/8 over the QASM
-//! corpus × grid/ring/heavy-hex — with and without tight node budgets.
+//! Scoring-layer parity suite: exact search with `search_jobs = N`
+//! candidate-scoring workers must be **bit-identical** to the sequential
+//! search — same candidates in the same order, same budget accounting,
+//! same outcome or error — for every worker count. VF2 enumeration is
+//! sequential; the placer charges the scoring phase up front and picks
+//! the winner by (metric, candidate index), so this is a hard guarantee,
+//! not a statistical one. These tests compare full outcome fingerprints
+//! (runtime bits, every stage placement, every swap count, exhaustion
+//! node counts) across worker counts 1/2/4/8 over the QASM corpus ×
+//! grid/ring/heavy-hex — with and without tight node budgets.
 
 use proptest::prelude::*;
 

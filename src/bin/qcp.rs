@@ -155,7 +155,7 @@ fn run() -> ExitCode {
                  \x20 --strategy <s>          exact | anneal | hybrid (default exact)\n\
                  \x20 --budget-ms <ms>        wall-clock search budget per request\n\
                  \x20 --budget-nodes <n>      deterministic search-node budget\n\
-                 \x20 --search-jobs <n>       parallel exact-search workers (default 1;\n\
+                 \x20 --search-jobs <n>       parallel candidate-scoring workers (default 1;\n\
                  \x20                         0 = all cores; results are worker-count\n\
                  \x20                         independent)\n\
                  \x20 --gantt                 print the timed pulse chart\n\
