@@ -10,7 +10,7 @@ use qcp_graph::{vf2, Graph};
 use crate::cost::{CostEngine, CostModel, Schedule};
 use crate::embed::candidate_placements_budgeted;
 use crate::finetune::fine_tune;
-use crate::router::{route_permutation, RouterConfig, SwapSchedule};
+use crate::router::{Router, RouterConfig, SwapSchedule};
 use crate::strategy::{strategy_for, AnnealConfig, Resolution, SearchBudget, Strategy};
 use crate::workspace::{extract_workspaces_budgeted, ExtractionOptions, Workspace};
 use crate::{PlaceError, Placement, Result};
@@ -230,7 +230,9 @@ pub struct Placer<'e> {
     env: &'e Environment,
     config: PlacerConfig,
     fast: Graph,
-    routing: Graph,
+    /// The §5.2 router over the routing graph, memoising its bisections
+    /// for the placer's lifetime.
+    router: Router,
     /// Fast-graph node orbits under verified device automorphisms, kept
     /// only when symmetric first-stage placements are genuinely
     /// cost-equivalent (see [`device_symmetry`]).
@@ -281,11 +283,12 @@ impl<'e> Placer<'e> {
         } else {
             0.0
         };
+        let router = Router::new(routing, config.router);
         Placer {
             env,
             config,
             fast,
-            routing,
+            router,
             symmetry,
             dist,
             min_swap_units,
@@ -304,7 +307,12 @@ impl<'e> Placer<'e> {
 
     /// The routing graph: the fast graph plus any bridge couplings.
     pub fn routing_graph(&self) -> &Graph {
-        &self.routing
+        self.router.graph()
+    }
+
+    /// The router over [`routing_graph`](Placer::routing_graph).
+    pub(crate) fn router(&self) -> &Router {
+        &self.router
     }
 
     /// The configuration in force.
@@ -535,7 +543,7 @@ impl<'e> Placer<'e> {
             Some(prev) if prev.same_assignment(cand) => SwapSchedule::default(),
             Some(prev) => {
                 let perm = prev.permutation_to(cand);
-                route_permutation(&self.routing, &perm, &self.config.router)?
+                self.router.route(&perm)?
             }
         };
         fork.copy_from(base);

@@ -26,11 +26,13 @@
 //! For bounded-degree graphs the depth is `O(n)` (8n + O(1) for `s = 1/2`,
 //! §5.2), which property tests in this crate check empirically.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use qcp_env::PhysicalQubit;
 use qcp_graph::bisection::balanced_connected_bisection;
-use qcp_graph::traversal::{connected_components, multi_source_distances, shortest_path};
+use qcp_graph::traversal::{connected_components, shortest_path};
 use qcp_graph::{Graph, NodeId};
 
 use crate::cost::{PlacedGate, Schedule};
@@ -111,6 +113,9 @@ impl SwapSchedule {
 /// must reach `targets[v]`; `None` marks a don't-care value. Returns a
 /// parallel swap schedule along graph edges.
 ///
+/// A one-shot call; a [`Placer`](crate::Placer) routes through one
+/// long-lived router per routing graph, which reuses its bisections.
+///
 /// # Errors
 ///
 /// * [`PlaceError::InvalidPlacement`] if `targets` has the wrong length or
@@ -122,56 +127,482 @@ pub fn route_permutation(
     targets: &[Option<usize>],
     config: &RouterConfig,
 ) -> Result<SwapSchedule> {
-    let n = graph.node_count();
-    if targets.len() != n {
-        return Err(PlaceError::InvalidPlacement {
-            message: format!("targets length {} != graph size {n}", targets.len()),
-        });
-    }
-    let mut seen = vec![false; n];
-    for t in targets.iter().flatten() {
-        if *t >= n || seen[*t] {
-            return Err(PlaceError::InvalidPlacement {
-                message: format!("destination {t} repeated or out of range"),
-            });
+    Router::new(graph.clone(), *config).route(targets)
+}
+
+/// One bisection of an active vertex set, in global vertex ids: the
+/// halves and the channel edges as `(left end, right end)`.
+#[derive(Debug)]
+struct Split {
+    left: Vec<usize>,
+    right: Vec<usize>,
+    channel: Vec<(usize, usize)>,
+}
+
+/// The §5.2 router bound to one routing graph.
+///
+/// Which bisection the recursion takes depends only on the graph and the
+/// active vertex list; the permutation decides only which values move. The
+/// router therefore computes the graph's components once and memoises each
+/// active list's [`Split`]. The memo is keyed by the list itself, not
+/// built as one static tree: leaf–target freezing makes the active set
+/// depend on the permutation, and the bisection's tie-breaks depend on the
+/// list's order. Cloning gives a fresh memo.
+pub(crate) struct Router {
+    graph: Graph,
+    config: RouterConfig,
+    /// Connected components, each in BFS order.
+    components: Vec<Vec<usize>>,
+    comp_of: Vec<usize>,
+    splits: Mutex<HashMap<Vec<usize>, Arc<Split>>>,
+}
+
+impl Clone for Router {
+    fn clone(&self) -> Self {
+        Router {
+            graph: self.graph.clone(),
+            config: self.config,
+            components: self.components.clone(),
+            comp_of: self.comp_of.clone(),
+            splits: Mutex::default(),
         }
-        seen[*t] = true;
+    }
+}
+
+impl fmt::Debug for Router {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Router")
+            .field("graph", &self.graph)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Per-call routing state: the moving destinations plus flat masks over
+/// the vertices. A recursion sets its masks over its active list and
+/// clears them before its halves recurse, so each mask holds only the
+/// current recursion's vertices.
+struct Scratch {
+    dest: Vec<Option<usize>>,
+    active: Vec<bool>,
+    in_left: Vec<bool>,
+    white: Vec<bool>,
+    frozen: Vec<bool>,
+    /// Vertices already swapped in the level being built.
+    used: Vec<bool>,
+    channel_end: Vec<bool>,
+    /// Funnel BFS distances to the designated channel end.
+    dist: Vec<Option<u32>>,
+    queue: Vec<usize>,
+    /// Wrong-coloured values of the side being funnelled.
+    wrong: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(targets: &[Option<usize>]) -> Self {
+        let n = targets.len();
+        Scratch {
+            dest: targets.to_vec(),
+            active: vec![false; n],
+            in_left: vec![false; n],
+            white: vec![false; n],
+            frozen: vec![false; n],
+            used: vec![false; n],
+            channel_end: vec![false; n],
+            dist: vec![None; n],
+            queue: Vec::with_capacity(n),
+            wrong: Vec::with_capacity(n),
+        }
     }
 
-    // Validate component-wise reachability, then route each component.
-    let components = connected_components(graph);
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in components.iter().enumerate() {
-        for &v in comp {
-            comp_of[v.index()] = ci;
+    fn mark(&mut self, active: &[usize], split: &Split) {
+        for &v in active {
+            self.active[v] = true;
+        }
+        for &v in &split.left {
+            self.in_left[v] = true;
+        }
+        for &(a, b) in &split.channel {
+            self.channel_end[a] = true;
+            self.channel_end[b] = true;
         }
     }
-    for (v, t) in targets.iter().enumerate() {
-        if let Some(t) = *t {
-            if comp_of[v] != comp_of[t] {
-                return Err(PlaceError::RoutingImpossible {
-                    stuck: PhysicalQubit::new(v),
-                });
+
+    fn clear(&mut self, active: &[usize]) {
+        for &v in active {
+            self.active[v] = false;
+            self.in_left[v] = false;
+            self.white[v] = false;
+            self.frozen[v] = false;
+            self.channel_end[v] = false;
+            self.dist[v] = None;
+        }
+    }
+
+    /// Active, unfrozen and on the given side of the cut.
+    fn in_side(&self, v: usize, left: bool) -> bool {
+        self.active[v] && self.in_left[v] == left && !self.frozen[v]
+    }
+
+    fn misplaced(&self, v: usize) -> bool {
+        self.white[v] != self.in_left[v]
+    }
+
+    fn swap(&mut self, u: usize, v: usize, level: &mut Vec<(usize, usize)>) {
+        self.dest.swap(u, v);
+        self.white.swap(u, v);
+        self.used[u] = true;
+        self.used[v] = true;
+        level.push((u, v));
+    }
+}
+
+impl Router {
+    /// Binds the router to `graph`, computing its components once.
+    pub(crate) fn new(graph: Graph, config: RouterConfig) -> Self {
+        let components: Vec<Vec<usize>> = connected_components(&graph)
+            .into_iter()
+            .map(|comp| comp.into_iter().map(NodeId::index).collect())
+            .collect();
+        let mut comp_of = vec![usize::MAX; graph.node_count()];
+        for (ci, comp) in components.iter().enumerate() {
+            for &v in comp {
+                comp_of[v] = ci;
             }
         }
+        Router {
+            graph,
+            config,
+            components,
+            comp_of,
+            splits: Mutex::default(),
+        }
     }
 
-    let mut dest: Vec<Option<usize>> = targets.to_vec();
-    let mut per_component: Vec<Vec<Vec<(usize, usize)>>> = Vec::new();
-    for comp in &components {
-        let active: Vec<usize> = comp.iter().map(|v| v.index()).collect();
-        per_component.push(route_rec(graph, &active, &mut dest, config)?);
+    /// The routing graph.
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
     }
-    // Components are disjoint: run their schedules in parallel.
-    let levels = merge_parallel(per_component);
-    Ok(SwapSchedule {
-        levels: levels
-            .into_iter()
-            .map(|lv| {
-                lv.into_iter()
-                    .map(|(a, b)| (PhysicalQubit::new(a), PhysicalQubit::new(b)))
-                    .collect()
-            })
+
+    /// Routes `targets`; see [`route_permutation`] for the contract.
+    pub(crate) fn route(&self, targets: &[Option<usize>]) -> Result<SwapSchedule> {
+        let n = self.graph.node_count();
+        if targets.len() != n {
+            return Err(PlaceError::InvalidPlacement {
+                message: format!("targets length {} != graph size {n}", targets.len()),
+            });
+        }
+        let mut seen = vec![false; n];
+        for t in targets.iter().flatten() {
+            if *t >= n || seen[*t] {
+                return Err(PlaceError::InvalidPlacement {
+                    message: format!("destination {t} repeated or out of range"),
+                });
+            }
+            seen[*t] = true;
+        }
+        for (v, t) in targets.iter().enumerate() {
+            if let Some(t) = *t {
+                if self.comp_of[v] != self.comp_of[t] {
+                    return Err(PlaceError::RoutingImpossible {
+                        stuck: PhysicalQubit::new(v),
+                    });
+                }
+            }
+        }
+
+        let mut scratch = Scratch::new(targets);
+        let mut per_component = Vec::with_capacity(self.components.len());
+        for comp in &self.components {
+            per_component.push(self.route_rec(comp, &mut scratch)?);
+        }
+        // Components are disjoint: run their schedules in parallel.
+        let levels = merge_parallel(per_component);
+        Ok(SwapSchedule {
+            levels: levels
+                .into_iter()
+                .map(|lv| {
+                    lv.into_iter()
+                        .map(|(a, b)| (PhysicalQubit::new(a), PhysicalQubit::new(b)))
+                        .collect()
+                })
+                .collect(),
+        })
+    }
+
+    /// The memoised bisection of `active`. The lock is never held while a
+    /// bisection is computed; racing threads compute the same split.
+    fn split(&self, active: &[usize]) -> Result<Arc<Split>> {
+        let cached = self.memo().get(active).cloned();
+        if let Some(split) = cached {
+            return Ok(split);
+        }
+        let split = Arc::new(bisect(&self.graph, active)?);
+        self.memo()
+            .entry(active.to_vec())
+            .or_insert_with(|| Arc::clone(&split));
+        Ok(split)
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<Vec<usize>, Arc<Split>>> {
+        // The map is only ever inserted into whole, so a panic elsewhere
+        // cannot leave it inconsistent.
+        self.splits.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn route_rec(&self, active: &[usize], s: &mut Scratch) -> Result<Vec<Vec<(usize, usize)>>> {
+        if active.iter().all(|&v| s.dest[v].is_none_or(|d| d == v)) {
+            return Ok(Vec::new());
+        }
+        if active.len() < 2 {
+            // A lone unsatisfied vertex cannot be fixed.
+            return Err(PlaceError::RoutingImpossible {
+                stuck: PhysicalQubit::new(active.first().copied().unwrap_or(0)),
+            });
+        }
+        let split = self.split(active)?;
+        s.mark(active, &split);
+
+        // Colour values: White = destination in the left half.
+        // Wildcards are assigned to balance, preferring their current side
+        // so they move as little as possible.
+        let mut fixed_white = 0usize;
+        let mut wild: Vec<usize> = Vec::new();
+        for &v in active {
+            match s.dest[v] {
+                Some(d) => {
+                    if s.in_left[d] {
+                        s.white[v] = true;
+                        fixed_white += 1;
+                    }
+                }
+                None => wild.push(v),
+            }
+        }
+        let left_len = split.left.len();
+        debug_assert!(
+            fixed_white <= left_len,
+            "more fixed whites than room in the left half"
+        );
+        let mut need_white = left_len - fixed_white.min(left_len);
+        // Wildcards already in the left half take white first.
+        wild.sort_unstable_by_key(|&v| (!s.in_left[v], v));
+        for &v in &wild {
+            if need_white > 0 {
+                s.white[v] = true;
+                need_white -= 1;
+            }
+        }
+
+        // Exchange phase.
+        let mut levels: Vec<Vec<(usize, usize)>> = Vec::new();
+        let max_iters = 8 * active.len() + 16; // safety margin over the 8n bound
+        for _ in 0..max_iters {
+            if !active.iter().any(|&v| !s.frozen[v] && s.misplaced(v)) {
+                break;
+            }
+            let level = self.build_level(active, &split, s);
+            if level.is_empty() {
+                return Err(PlaceError::RoutingImpossible {
+                    stuck: PhysicalQubit::new(
+                        active
+                            .iter()
+                            .copied()
+                            .find(|&v| s.misplaced(v))
+                            .unwrap_or(active[0]),
+                    ),
+                });
+            }
+            levels.push(level);
+        }
+        debug_assert!(
+            active.iter().all(|&v| s.frozen[v] || !s.misplaced(v)),
+            "exchange phase exceeded its iteration budget"
+        );
+
+        // Recurse on both halves (minus satisfied frozen leaves) in parallel.
+        let remaining = |side: &[usize]| -> Vec<usize> {
+            side.iter().copied().filter(|&v| !s.frozen[v]).collect()
+        };
+        let (la, lb) = (remaining(&split.left), remaining(&split.right));
+        s.clear(active);
+        let sub_a = if la.is_empty() {
+            Vec::new()
+        } else {
+            self.route_rec(&la, s)?
+        };
+        let sub_b = if lb.is_empty() {
+            Vec::new()
+        } else {
+            self.route_rec(&lb, s)?
+        };
+        levels.extend(merge_parallel(vec![sub_a, sub_b]));
+        Ok(levels)
+    }
+
+    /// Builds one parallel swap level and applies it to the scratch state.
+    fn build_level(&self, active: &[usize], split: &Split, s: &mut Scratch) -> Vec<(usize, usize)> {
+        let graph = &self.graph;
+        let mut level: Vec<(usize, usize)> = Vec::new();
+
+        // 1. Leaf–target override (§5.3): deliver values straight into leaf
+        //    destinations and retire the leaf.
+        if self.config.leaf_override {
+            for &v in active {
+                if s.frozen[v] || s.used[v] {
+                    continue;
+                }
+                let Some(d) = s.dest[v] else { continue };
+                if d == v || s.used[d] || s.frozen[d] {
+                    continue;
+                }
+                if !graph.has_edge(NodeId::new(v), NodeId::new(d)) {
+                    continue;
+                }
+                // The destination must be an active leaf, not a channel end
+                // (freezing a channel endpoint could block the exchange), and
+                // its current value must not itself be finalized there.
+                if !s.active[d] || s.channel_end[d] {
+                    continue;
+                }
+                // Working degree: neighbours within active, excluding frozen.
+                let working_degree = graph
+                    .neighbor_slice(NodeId::new(d))
+                    .iter()
+                    .filter(|u| s.active[u.index()] && !s.frozen[u.index()])
+                    .count();
+                if working_degree != 1 || s.dest[d] == Some(d) {
+                    continue;
+                }
+                s.swap(v, d, &mut level);
+                s.frozen[d] = true;
+            }
+        }
+
+        // 2. Cross-channel exchanges: black on the left end, white on the
+        //    right end. (The channel is never blocked, and all channel edges
+        //    work in parallel.)
+        for &(a, b) in &split.channel {
+            if s.used[a] || s.used[b] || s.frozen[a] || s.frozen[b] {
+                continue;
+            }
+            if !s.white[a] && s.white[b] {
+                s.swap(a, b, &mut level);
+            }
+        }
+
+        // 3. Funnel wrong-coloured values toward the channel on both sides.
+        //    Distances are measured to a single *designated* channel edge
+        //    (§5.2: "we suppose that the communication channel consists of a
+        //    single edge, otherwise, choose a single edge") so both queues
+        //    provably meet; the other channel edges still exchange
+        //    opportunistically in step 2 above.
+        if let Some(&(a, b)) = split.channel.first() {
+            self.funnel(active, a, true, s, &mut level);
+            self.funnel(active, b, false, s, &mut level);
+        }
+
+        for &(u, v) in &level {
+            s.used[u] = false;
+            s.used[v] = false;
+        }
+        level
+    }
+
+    /// Steps each wrong-coloured value on one side of the cut one hop
+    /// closer to `source`, the side's end of the designated channel edge,
+    /// through a right-coloured neighbour. Distances come from a BFS on the
+    /// graph masked to the side's unfrozen vertices.
+    fn funnel(
+        &self,
+        active: &[usize],
+        source: usize,
+        left: bool,
+        s: &mut Scratch,
+        level: &mut Vec<(usize, usize)>,
+    ) {
+        if !s.in_side(source, left) {
+            return;
+        }
+        for &v in active {
+            s.dist[v] = None;
+        }
+        s.dist[source] = Some(0);
+        s.queue.clear();
+        s.queue.push(source);
+        let mut head = 0;
+        while let Some(&v) = s.queue.get(head) {
+            head += 1;
+            let next = s.dist[v].map(|d| d + 1);
+            for u in self.graph.neighbor_slice(NodeId::new(v)) {
+                let u = u.index();
+                if s.dist[u].is_none() && s.in_side(u, left) {
+                    s.dist[u] = next;
+                    s.queue.push(u);
+                }
+            }
+        }
+
+        // Wrong colour on this side: black-on-left or white-on-right.
+        let mut wrong = std::mem::take(&mut s.wrong);
+        wrong.clear();
+        wrong.extend(
+            active
+                .iter()
+                .copied()
+                .filter(|&v| s.in_side(v, left) && s.misplaced(v) && !s.used[v]),
+        );
+        wrong.sort_unstable_by_key(|&v| (s.dist[v], v));
+        for &v in &wrong {
+            if s.used[v] {
+                continue;
+            }
+            let Some(dv) = s.dist[v] else { continue };
+            if dv == 0 {
+                continue; // already at the channel, waiting for the partner
+            }
+            // Step toward the channel through a right-coloured neighbour;
+            // the sorted neighbour row makes the first match the smallest.
+            let step = self
+                .graph
+                .neighbor_slice(NodeId::new(v))
+                .iter()
+                .map(|u| u.index())
+                .find(|&u| {
+                    s.in_side(u, left)
+                        && !s.used[u]
+                        && !s.misplaced(u)
+                        && s.dist[u].is_some_and(|du| du + 1 == dv)
+                });
+            if let Some(u) = step {
+                s.swap(v, u, level);
+            }
+        }
+        s.wrong = wrong;
+    }
+}
+
+/// Bisects the subgraph induced by `active`, mapping the halves and the
+/// channel back to global vertex ids.
+fn bisect(graph: &Graph, active: &[usize]) -> Result<Split> {
+    let active_ids: Vec<NodeId> = active.iter().map(|&v| NodeId::new(v)).collect();
+    let (sub, back) = graph
+        .induced(&active_ids)
+        .map_err(|e| PlaceError::InvalidPlacement {
+            message: format!("induced subgraph failed: {e}"),
+        })?;
+    let bisection =
+        balanced_connected_bisection(&sub).map_err(|e| PlaceError::InvalidPlacement {
+            message: format!("bisection failed: {e}"),
+        })?;
+    let global = |v: &NodeId| back[v.index()].index();
+    Ok(Split {
+        left: bisection.left.iter().map(global).collect(),
+        right: bisection.right.iter().map(global).collect(),
+        channel: bisection
+            .channel
+            .iter()
+            .map(|(a, b)| (global(a), global(b)))
             .collect(),
     })
 }
@@ -192,311 +623,6 @@ fn merge_parallel(mut parts: Vec<Vec<Vec<(usize, usize)>>>) -> Vec<Vec<(usize, u
         }
     }
     out
-}
-
-fn is_done(active: &[usize], dest: &[Option<usize>]) -> bool {
-    active.iter().all(|&v| dest[v].is_none_or(|d| d == v))
-}
-
-fn route_rec(
-    graph: &Graph,
-    active: &[usize],
-    dest: &mut Vec<Option<usize>>,
-    config: &RouterConfig,
-) -> Result<Vec<Vec<(usize, usize)>>> {
-    if is_done(active, dest) {
-        return Ok(Vec::new());
-    }
-    if active.len() < 2 {
-        // A lone unsatisfied vertex cannot be fixed.
-        return Err(PlaceError::RoutingImpossible {
-            stuck: PhysicalQubit::new(active.first().copied().unwrap_or(0)),
-        });
-    }
-
-    // Bisect the active induced subgraph.
-    let active_ids: Vec<NodeId> = active.iter().map(|&v| NodeId::new(v)).collect();
-    let (sub, back) = graph
-        .induced(&active_ids)
-        .map_err(|e| PlaceError::InvalidPlacement {
-            message: format!("induced subgraph failed: {e}"),
-        })?;
-    let bisection =
-        balanced_connected_bisection(&sub).map_err(|e| PlaceError::InvalidPlacement {
-            message: format!("bisection failed: {e}"),
-        })?;
-    let left: Vec<usize> = bisection
-        .left
-        .iter()
-        .map(|&v| back[v.index()].index())
-        .collect();
-    let right: Vec<usize> = bisection
-        .right
-        .iter()
-        .map(|&v| back[v.index()].index())
-        .collect();
-    let channel: Vec<(usize, usize)> = bisection
-        .channel
-        .iter()
-        .map(|&(a, b)| (back[a.index()].index(), back[b.index()].index()))
-        .collect();
-
-    let mut in_left = vec![false; graph.node_count()];
-    for &v in &left {
-        in_left[v] = true;
-    }
-
-    // Colour values: White = destination in the left half.
-    // Wildcards are assigned to balance, preferring their current side so
-    // they move as little as possible.
-    let mut white = vec![false; graph.node_count()];
-    let mut fixed_white = 0usize;
-    let mut wild: Vec<usize> = Vec::new();
-    for &v in active {
-        match dest[v] {
-            Some(d) => {
-                if in_left[d] {
-                    white[v] = true;
-                    fixed_white += 1;
-                }
-            }
-            None => wild.push(v),
-        }
-    }
-    let mut need_white = left.len() - fixed_white.min(left.len());
-    debug_assert!(
-        fixed_white <= left.len(),
-        "more fixed whites than room in the left half"
-    );
-    // Wildcards already in the left half take white first.
-    wild.sort_unstable_by_key(|&v| (!in_left[v], v));
-    for &v in &wild {
-        if need_white > 0 {
-            white[v] = true;
-            need_white -= 1;
-        }
-    }
-
-    // Exchange phase.
-    let mut frozen: HashSet<usize> = HashSet::new();
-    let mut levels: Vec<Vec<(usize, usize)>> = Vec::new();
-    let max_iters = 8 * active.len() + 16; // safety margin over the 8n bound
-    for _ in 0..max_iters {
-        let misplaced = active
-            .iter()
-            .any(|&v| !frozen.contains(&v) && (white[v] != in_left[v]));
-        if !misplaced {
-            break;
-        }
-        let level = build_level(
-            graph,
-            active,
-            &in_left,
-            &channel,
-            &mut white,
-            dest,
-            &mut frozen,
-            config,
-        );
-        if level.is_empty() {
-            return Err(PlaceError::RoutingImpossible {
-                stuck: PhysicalQubit::new(
-                    active
-                        .iter()
-                        .copied()
-                        .find(|&v| white[v] != in_left[v])
-                        .unwrap_or(active[0]),
-                ),
-            });
-        }
-        levels.push(level);
-    }
-    debug_assert!(
-        active
-            .iter()
-            .all(|&v| frozen.contains(&v) || white[v] == in_left[v]),
-        "exchange phase exceeded its iteration budget"
-    );
-
-    // Recurse on both halves (minus satisfied frozen leaves) in parallel.
-    let remaining = |side: &[usize]| -> Vec<usize> {
-        side.iter()
-            .copied()
-            .filter(|v| !frozen.contains(v))
-            .collect()
-    };
-    let (la, lb) = (remaining(&left), remaining(&right));
-    let sub_a = if la.is_empty() {
-        Vec::new()
-    } else {
-        route_rec(graph, &la, dest, config)?
-    };
-    let sub_b = if lb.is_empty() {
-        Vec::new()
-    } else {
-        route_rec(graph, &lb, dest, config)?
-    };
-    levels.extend(merge_parallel(vec![sub_a, sub_b]));
-    Ok(levels)
-}
-
-/// Builds one parallel swap level and applies it to `white`/`dest`.
-#[allow(clippy::too_many_arguments)]
-fn build_level(
-    graph: &Graph,
-    active: &[usize],
-    in_left: &[bool],
-    channel: &[(usize, usize)],
-    white: &mut [bool],
-    dest: &mut Vec<Option<usize>>,
-    frozen: &mut HashSet<usize>,
-    config: &RouterConfig,
-) -> Vec<(usize, usize)> {
-    let mut used: HashSet<usize> = HashSet::new();
-    let mut level: Vec<(usize, usize)> = Vec::new();
-    let do_swap = |u: usize,
-                   v: usize,
-                   white: &mut [bool],
-                   dest: &mut Vec<Option<usize>>,
-                   used: &mut HashSet<usize>,
-                   level: &mut Vec<(usize, usize)>| {
-        dest.swap(u, v);
-        white.swap(u, v);
-        used.insert(u);
-        used.insert(v);
-        level.push((u, v));
-    };
-
-    let is_active: HashSet<usize> = active.iter().copied().collect();
-    let channel_ends: HashSet<usize> = channel.iter().flat_map(|&(a, b)| [a, b]).collect();
-
-    // Working degree (within active, excluding frozen) for leaf detection.
-    let working_degree = |v: usize, frozen: &HashSet<usize>| -> usize {
-        graph
-            .neighbors(NodeId::new(v))
-            .filter(|u| is_active.contains(&u.index()) && !frozen.contains(&u.index()))
-            .count()
-    };
-
-    // 1. Leaf–target override (§5.3): deliver values straight into leaf
-    //    destinations and retire the leaf.
-    if config.leaf_override {
-        for &v in active {
-            if frozen.contains(&v) || used.contains(&v) {
-                continue;
-            }
-            let Some(d) = dest[v] else { continue };
-            if d == v || used.contains(&d) || frozen.contains(&d) {
-                continue;
-            }
-            if !graph.has_edge(NodeId::new(v), NodeId::new(d)) {
-                continue;
-            }
-            // The destination must be an active leaf, not a channel end
-            // (freezing a channel endpoint could block the exchange), and
-            // its current value must not itself be finalized there.
-            if !is_active.contains(&d)
-                || channel_ends.contains(&d)
-                || working_degree(d, frozen) != 1
-            {
-                continue;
-            }
-            if dest[d] == Some(d) {
-                continue;
-            }
-            do_swap(v, d, white, dest, &mut used, &mut level);
-            frozen.insert(d);
-        }
-    }
-
-    // 2. Cross-channel exchanges: black on the left end, white on the
-    //    right end. (The channel is never blocked, and all channel edges
-    //    work in parallel.)
-    for &(a, b) in channel {
-        if used.contains(&a) || used.contains(&b) || frozen.contains(&a) || frozen.contains(&b) {
-            continue;
-        }
-        if !white[a] && white[b] {
-            do_swap(a, b, white, dest, &mut used, &mut level);
-        }
-    }
-
-    // 3. Funnel wrong-coloured values toward the channel on both sides.
-    //    Distances are measured to a single *designated* channel edge
-    //    (§5.2: "we suppose that the communication channel consists of a
-    //    single edge, otherwise, choose a single edge") so both queues
-    //    provably meet; the other channel edges still exchange
-    //    opportunistically in step 2 above.
-    let designated = channel.first().copied();
-    let funnel = |side_is_left: bool,
-                  white: &mut [bool],
-                  dest: &mut Vec<Option<usize>>,
-                  used: &mut HashSet<usize>,
-                  level: &mut Vec<(usize, usize)>,
-                  frozen: &HashSet<usize>| {
-        let sources: Vec<NodeId> = designated
-            .iter()
-            .map(|&(a, b)| if side_is_left { a } else { b })
-            .filter(|&v| !frozen.contains(&v))
-            .map(NodeId::new)
-            .collect();
-        if sources.is_empty() {
-            return;
-        }
-        let side: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&v| in_left[v] == side_is_left && !frozen.contains(&v))
-            .collect();
-        let side_ids: Vec<NodeId> = side.iter().map(|&v| NodeId::new(v)).collect();
-        let Ok((sub, back)) = graph.induced(&side_ids) else {
-            return;
-        };
-        let local: std::collections::HashMap<usize, usize> =
-            side.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let local_sources: Vec<NodeId> = sources
-            .iter()
-            .filter_map(|s| local.get(&s.index()).map(|&i| NodeId::new(i)))
-            .collect();
-        if local_sources.is_empty() {
-            return;
-        }
-        let dist = multi_source_distances(&sub, &local_sources);
-        // Wrong colour on this side: black-on-left or white-on-right.
-        let mut wrong: Vec<usize> = side
-            .iter()
-            .copied()
-            .filter(|&v| white[v] != in_left[v] && !used.contains(&v))
-            .collect();
-        wrong.sort_unstable_by_key(|&v| (dist[local[&v]], v));
-        for v in wrong {
-            if used.contains(&v) {
-                continue;
-            }
-            let Some(dv) = dist[local[&v]] else { continue };
-            if dv == 0 {
-                continue; // already at the channel, waiting for the partner
-            }
-            // Step toward the channel through a right-coloured neighbour.
-            let mut cands: Vec<usize> = sub
-                .neighbors(NodeId::new(local[&v]))
-                .map(|u| back[u.index()].index())
-                .filter(|&u| {
-                    !used.contains(&u)
-                        && white[u] == in_left[u]
-                        && dist[local[&u]].is_some_and(|du| du + 1 == dv)
-                })
-                .collect();
-            cands.sort_unstable();
-            if let Some(&u) = cands.first() {
-                do_swap(v, u, white, dest, used, level);
-            }
-        }
-    };
-    funnel(true, white, dest, &mut used, &mut level, frozen);
-    funnel(false, white, dest, &mut used, &mut level, frozen);
-
-    level
 }
 
 /// A simple baseline router for comparison: completes the wildcard values
@@ -668,6 +794,9 @@ pub fn verify_schedule(graph: &Graph, targets: &[Option<usize>], schedule: &Swap
 mod tests {
     use super::*;
     use qcp_graph::generate;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn full_targets(perm: &[usize]) -> Vec<Option<usize>> {
         perm.iter().map(|&d| Some(d)).collect()
@@ -863,5 +992,104 @@ mod tests {
         // The paper separates the halves in 3 steps and finishes the
         // sub-permutations in parallel; allow a small constant factor.
         assert!(s.depth() <= 10, "depth {}", s.depth());
+    }
+
+    /// A seeded input for `router`: a permutation within each component,
+    /// sometimes with wildcards, and every few trials a malformed one (a
+    /// wrong length, a repeated destination, or a cross-component or
+    /// out-of-range destination).
+    fn reuse_input(router: &Router, trial: usize, rng: &mut StdRng) -> Vec<Option<usize>> {
+        let n = router.graph.node_count();
+        let mut targets = vec![None; n];
+        for comp in &router.components {
+            let mut dests = comp.clone();
+            dests.shuffle(rng);
+            for (&v, &d) in comp.iter().zip(&dests) {
+                if trial % 3 != 1 || rng.gen_range(0..3) != 0 {
+                    targets[v] = Some(d);
+                }
+            }
+        }
+        match trial % 10 {
+            3 => {
+                if rng.gen_range(0..2) == 0 {
+                    targets.push(None);
+                } else {
+                    targets.pop();
+                }
+            }
+            6 => {
+                let v = rng.gen_range(0..n);
+                let w = (v + 1 + rng.gen_range(0..n - 1)) % n;
+                targets[w] = Some(targets[v].unwrap_or(v));
+                targets[v] = targets[w];
+            }
+            9 => match router.components.as_slice() {
+                [a, b, ..] => {
+                    let (v, w) = (a[rng.gen_range(0..a.len())], b[rng.gen_range(0..b.len())]);
+                    let (tv, tw) = (targets[v].unwrap_or(v), targets[w].unwrap_or(w));
+                    targets[v] = Some(tw);
+                    targets[w] = Some(tv);
+                }
+                _ => targets[rng.gen_range(0..n)] = Some(n),
+            },
+            _ => {}
+        }
+        targets
+    }
+
+    #[test]
+    fn reused_router_matches_fresh_routes() {
+        let two_components = Graph::from_edges(
+            9,
+            [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 4),
+                (6, 8),
+            ],
+        )
+        .unwrap();
+        let graphs = [
+            generate::chain(10),
+            generate::grid(4, 5),
+            generate::ring(9),
+            generate::star(7),
+            generate::caterpillar(5, 2),
+            two_components,
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            for leaf_override in [true, false] {
+                let config = RouterConfig { leaf_override };
+                let router = Router::new(g.clone(), config);
+                let mut rng = StdRng::seed_from_u64(gi as u64);
+                let (mut ok, mut failed) = (0, 0);
+                for trial in 0..240 {
+                    let targets = reuse_input(&router, trial, &mut rng);
+                    let reused = router.route(&targets);
+                    assert_eq!(
+                        reused,
+                        route_permutation(g, &targets, &config),
+                        "graph {gi} leaf_override={leaf_override} trial {trial}: {targets:?}"
+                    );
+                    match reused {
+                        Ok(s) => {
+                            assert!(verify_schedule(g, &targets, &s));
+                            ok += 1;
+                        }
+                        Err(_) => failed += 1,
+                    }
+                }
+                assert!(
+                    ok >= 160 && failed >= 48,
+                    "graph {gi}: {ok} ok, {failed} failed"
+                );
+                assert!(!router.memo().is_empty());
+            }
+        }
     }
 }

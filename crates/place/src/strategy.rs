@@ -40,7 +40,7 @@ use qcp_graph::{Graph, NodeId};
 
 use crate::cost::{CostEngine, PlacedGate, Schedule};
 use crate::placer::{PlacementOutcome, Placer, Stage};
-use crate::router::{route_permutation, SwapSchedule};
+use crate::router::SwapSchedule;
 use crate::{PlaceError, Placement, Result};
 
 /// Which placement strategy drives [`Placer::place`].
@@ -739,9 +739,9 @@ fn greedy_anneal(
 /// Turns a (possibly non-monomorphic) whole-circuit placement into an
 /// executable staged outcome: gates run in order, and whenever an
 /// interaction lands on nuclei without a fast coupling, both values are
-/// routed to the nearest fast edge through
-/// [`route_permutation`] — the §5.2 parallel SWAP router — opening a new
-/// stage.
+/// routed to the nearest fast edge through the placer's §5.2 parallel
+/// SWAP router (see [`route_permutation`](crate::router::route_permutation)),
+/// opening a new stage.
 fn build_routed_outcome(
     placer: &Placer<'_>,
     circuit: &Circuit,
@@ -751,7 +751,6 @@ fn build_routed_outcome(
 ) -> Result<PlacementOutcome> {
     let env = placer.environment();
     let fast = placer.fast_graph();
-    let routing = placer.routing_graph();
     let n = circuit.qubit_count();
     let m = env.qubit_count();
 
@@ -822,7 +821,7 @@ fn build_routed_outcome(
         let mut targets: Vec<Option<usize>> = vec![None; m];
         targets[pa] = Some(u);
         targets[pb] = Some(v);
-        let swaps = route_permutation(routing, &targets, &placer.config().router)?;
+        let swaps = placer.router().route(&targets)?;
         // Commit the stage that ran before this routing event.
         close_stage(
             &mut stages,
