@@ -16,8 +16,6 @@
 //! consecutive couplings on the same pair is charged at most `3 · W`
 //! ([`CostModel::reuse_cap`]).
 
-use std::collections::HashMap;
-
 use qcp_circuit::{Circuit, Gate, Time};
 use qcp_env::{Environment, PhysicalQubit};
 
@@ -190,10 +188,12 @@ pub struct CostEngine<'a> {
     env: &'a Environment,
     model: CostModel,
     times: Vec<f64>,
-    /// Last coupling partner of each nucleus, used for the reuse cap.
+    /// Last coupling pair of each nucleus, used for the reuse cap.
     last_pair: Vec<Option<(u32, u32)>>,
-    /// Accumulated `T` of the live run on each pair.
-    runs: HashMap<(u32, u32), f64>,
+    /// Accumulated `T` of each nucleus's last coupling run, written to
+    /// both ends. A run continues only while both nuclei's `last_pair`
+    /// name the pair, and then both ends hold its one value.
+    runs: Vec<f64>,
 }
 
 impl<'a> CostEngine<'a> {
@@ -204,7 +204,7 @@ impl<'a> CostEngine<'a> {
             model,
             times: vec![0.0; env.qubit_count()],
             last_pair: vec![None; env.qubit_count()],
-            runs: HashMap::new(),
+            runs: vec![0.0; env.qubit_count()],
         }
     }
 
@@ -218,8 +218,8 @@ impl<'a> CostEngine<'a> {
     ///
     /// This is the cheap half of the fork-arena pattern: the placer keeps
     /// one (or two, with lookahead) scratch engines alive and resets them
-    /// per candidate instead of cloning a fresh `CostEngine` — `Vec` and
-    /// `HashMap` buffers are reused across thousands of scoring calls.
+    /// per candidate instead of cloning a fresh `CostEngine` — its buffers
+    /// are reused across thousands of scoring calls.
     ///
     /// # Panics
     ///
@@ -293,13 +293,10 @@ impl<'a> CostEngine<'a> {
                     Some(cap) => {
                         let continuing =
                             self.last_pair[i] == Some(key) && self.last_pair[j] == Some(key);
-                        let prev = if continuing {
-                            *self.runs.get(&key).unwrap_or(&0.0)
-                        } else {
-                            0.0
-                        };
+                        let prev = if continuing { self.runs[i] } else { 0.0 };
                         let total = prev + gate.weight;
-                        self.runs.insert(key, total);
+                        self.runs[i] = total;
+                        self.runs[j] = total;
                         total.min(cap) - prev.min(cap)
                     }
                 };
@@ -538,6 +535,131 @@ mod tests {
         assert!(Schedule::new()
             .runtime(&env, &CostModel::default())
             .is_zero());
+    }
+
+    /// The reuse-cap bookkeeping as a map from pair to run total: the
+    /// reference the per-nucleus `runs` must reproduce bit for bit.
+    #[derive(Clone)]
+    struct PairMapEngine {
+        times: Vec<f64>,
+        last_pair: Vec<Option<(u32, u32)>>,
+        runs: std::collections::HashMap<(u32, u32), f64>,
+    }
+
+    impl PairMapEngine {
+        fn new(n: usize) -> Self {
+            PairMapEngine {
+                times: vec![0.0; n],
+                last_pair: vec![None; n],
+                runs: std::collections::HashMap::new(),
+            }
+        }
+
+        fn apply_gate(&mut self, env: &Environment, model: &CostModel, gate: &PlacedGate) {
+            let i = gate.a.index();
+            let Some(b) = gate.b else {
+                self.times[i] += env.weight_units(gate.a, gate.a) * gate.weight;
+                if gate.weight > 0.0 {
+                    self.last_pair[i] = None;
+                }
+                return;
+            };
+            let j = b.index();
+            let key = (i.min(j) as u32, i.max(j) as u32);
+            let effective = match model.reuse_cap {
+                None => gate.weight,
+                Some(cap) => {
+                    let continuing =
+                        self.last_pair[i] == Some(key) && self.last_pair[j] == Some(key);
+                    let prev = if continuing {
+                        *self.runs.get(&key).unwrap_or(&0.0)
+                    } else {
+                        0.0
+                    };
+                    let total = prev + gate.weight;
+                    self.runs.insert(key, total);
+                    total.min(cap) - prev.min(cap)
+                }
+            };
+            let start = self.times[i].max(self.times[j]);
+            let delay = env.weight_units(gate.a, b);
+            let finish = if delay.is_finite() {
+                start + delay * effective
+            } else {
+                f64::INFINITY
+            };
+            self.times[i] = finish;
+            self.times[j] = finish;
+            self.last_pair[i] = Some(key);
+            self.last_pair[j] = Some(key);
+        }
+    }
+
+    fn bits(times: &[f64]) -> Vec<u64> {
+        times.iter().map(|t| t.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random gate streams on two forked engines: runs on one pair,
+        /// runs broken by another partner or a costed pulse, free and
+        /// costed single-qubit pulses, and `copy_from` forks between the
+        /// engines, under capped and uncapped models.
+        #[test]
+        fn per_nucleus_runs_match_pair_map_bookkeeping(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..7usize);
+            let env = if rng.gen_range(0..2) == 0 {
+                qcp_env::molecules::random_molecule(n, seed)
+            } else {
+                qcp_env::molecules::lnn_chain(n, 10.0)
+            };
+            let model = match rng.gen_range(0..3) {
+                0 => CostModel::overlapped(),
+                1 => CostModel::overlapped().without_reuse_cap(),
+                _ => CostModel { reuse_cap: Some(1.5), ..CostModel::overlapped() },
+            };
+            let mut engines = [CostEngine::new(&env, model), CostEngine::new(&env, model)];
+            let mut refs = [PairMapEngine::new(n), PairMapEngine::new(n)];
+            let mut pair = (0, 1);
+            for _ in 0..200 {
+                let e = rng.gen_range(0..2usize);
+                let gate = match rng.gen_range(0..10) {
+                    0 => {
+                        let [first, second] = &mut engines;
+                        if e == 0 {
+                            first.copy_from(second);
+                        } else {
+                            second.copy_from(first);
+                        }
+                        refs[e] = refs[1 - e].clone();
+                        continue;
+                    }
+                    1 => PlacedGate::one(p(rng.gen_range(0..n)), 0.0),
+                    2 => PlacedGate::one(p(rng.gen_range(0..n)), 1.0),
+                    3 | 4 => {
+                        let a = rng.gen_range(0..n);
+                        pair = (a, (a + rng.gen_range(1..n)) % n);
+                        PlacedGate::two(p(pair.0), p(pair.1), 1.0)
+                    }
+                    // Mostly keep coupling the current pair, in either
+                    // order, so runs grow past the cap.
+                    k => {
+                        let weight = [0.0, 0.5, 1.0, 2.0, 3.0][rng.gen_range(0..5)];
+                        let (a, b) = if k % 2 == 0 { pair } else { (pair.1, pair.0) };
+                        PlacedGate::two(p(a), p(b), weight)
+                    }
+                };
+                let _ = engines[e].apply_gate(&gate);
+                refs[e].apply_gate(&env, &model, &gate);
+                proptest::prop_assert_eq!(bits(engines[e].times()), bits(&refs[e].times));
+            }
+            for (engine, reference) in engines.iter().zip(&refs) {
+                proptest::prop_assert_eq!(bits(engine.times()), bits(&reference.times));
+            }
+        }
     }
 
     #[test]

@@ -33,14 +33,21 @@ pub struct FineTuneResult {
 /// touched by two-qubit gates in the current workspace. `max_rounds`
 /// bounds the number of full sweeps; the climb also stops as soon as a
 /// sweep yields no improvement.
+///
+/// `cost` also receives the cost its placement must beat: a probe is
+/// accepted only if its score plus `1e-9` lies below that value (the
+/// first call, on `initial`, gets `f64::INFINITY`). Whenever an
+/// admissible lower bound on the true cost already fails that test, the
+/// scorer may return the bound instead of the cost — the probe is
+/// rejected either way, so the result is the same.
 pub fn fine_tune(
     initial: Placement,
     movable: &[Qubit],
-    mut cost: impl FnMut(&Placement) -> f64,
+    mut cost: impl FnMut(&Placement, f64) -> f64,
     max_rounds: usize,
 ) -> FineTuneResult {
     let mut current = initial;
-    let mut best_cost = cost(&current);
+    let mut best_cost = cost(&current, f64::INFINITY);
     let mut moves = 0usize;
     let mut rounds = 0usize;
     let m = current.physical_count();
@@ -55,8 +62,9 @@ pub fn fine_tune(
                     continue;
                 }
                 let cand = current.with_move(q, v);
-                let c = cost(&cand);
-                if c + 1e-9 < best_move.map_or(best_cost, |(_, bc)| bc) {
+                let to_beat = best_move.map_or(best_cost, |(_, bc)| bc);
+                let c = cost(&cand, to_beat);
+                if c + 1e-9 < to_beat {
                     best_move = Some((v, c));
                 }
             }
@@ -103,7 +111,7 @@ mod tests {
         let result = fine_tune(
             start,
             &[q(0), q(1), q(2)],
-            |pl| placed_runtime(&circuit, &env, pl, &model).units(),
+            |pl, _| placed_runtime(&circuit, &env, pl, &model).units(),
             10,
         );
         assert_eq!(
@@ -122,7 +130,7 @@ mod tests {
         let result = fine_tune(
             start.clone(),
             &[q(0), q(1), q(2)],
-            |pl| placed_runtime(&circuit, &env, pl, &model).units(),
+            |pl, _| placed_runtime(&circuit, &env, pl, &model).units(),
             0,
         );
         assert!(result.placement.same_assignment(&start));
@@ -138,11 +146,66 @@ mod tests {
         let result = fine_tune(
             start.clone(),
             &[q(1)], // only b may move (and may drag its swap partner)
-            |pl| placed_runtime(&circuit, &env, pl, &model).units(),
+            |pl, _| placed_runtime(&circuit, &env, pl, &model).units(),
             5,
         );
         // Cost can only go down or stay.
         assert!(result.cost <= 770.0);
+    }
+
+    #[test]
+    fn bounded_scorer_matches_exact_scorer() {
+        // A scorer may answer with an admissible lower bound (here half
+        // the cost) whenever that bound cannot beat the given cost; the
+        // climb must not tell the difference.
+        let acetyl = acetyl_chloride();
+        let crotonic = qcp_env::molecules::trans_crotonic_acid();
+        let fixtures = [
+            (
+                &acetyl,
+                qec3_encoder(),
+                Placement::new(vec![p(0), p(2), p(1)], 3).unwrap(),
+                vec![q(0), q(1), q(2)],
+                10,
+            ),
+            (
+                &acetyl,
+                qec3_encoder(),
+                Placement::new(vec![p(0), p(2), p(1)], 3).unwrap(),
+                vec![q(1)],
+                5,
+            ),
+            (
+                &crotonic,
+                qcp_circuit::library::qec5_benchmark(),
+                Placement::identity(5, 7).unwrap(),
+                (0..5).map(q).collect(),
+                6,
+            ),
+        ];
+        let model = CostModel::overlapped();
+        let mut skipped = 0;
+        for (env, circuit, start, movable, rounds) in fixtures {
+            let exact = |pl: &Placement| placed_runtime(&circuit, env, pl, &model).units();
+            let plain = fine_tune(start.clone(), &movable, |pl, _| exact(pl), rounds);
+            let bounded = fine_tune(
+                start,
+                &movable,
+                |pl, to_beat| {
+                    let lb = exact(pl) / 2.0;
+                    if lb + 1e-9 >= to_beat {
+                        skipped += 1;
+                        return lb;
+                    }
+                    exact(pl)
+                },
+                rounds,
+            );
+            assert!(bounded.placement.same_assignment(&plain.placement));
+            assert_eq!(bounded.cost.to_bits(), plain.cost.to_bits());
+            assert_eq!((bounded.moves, bounded.rounds), (plain.moves, plain.rounds));
+        }
+        assert!(skipped > 0, "no probe was answered with its bound");
     }
 
     #[test]
@@ -155,7 +218,7 @@ mod tests {
         let result = fine_tune(
             start,
             &(0..5).map(q).collect::<Vec<_>>(),
-            |pl| placed_runtime(&circuit, &env, pl, &model).units(),
+            |pl, _| placed_runtime(&circuit, &env, pl, &model).units(),
             6,
         );
         assert!(result.cost <= base);

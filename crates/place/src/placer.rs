@@ -479,13 +479,20 @@ impl<'e> Placer<'e> {
                     let result = fine_tune(
                         chosen,
                         &movable,
-                        |pl| {
+                        |pl, to_beat| {
                             // An exhausted budget turns remaining probes
                             // into instant infinities, so the sweep drains
                             // quickly; the post-check below converts the
                             // exhaustion into the strict exact failure.
                             if !meter.consume(1) {
                                 return f64::INFINITY;
+                            }
+                            // A probe whose admissible bound already fails
+                            // `fine_tune`'s acceptance test is rejected
+                            // whatever it costs: skip routing it.
+                            let lb = self.stage_lower_bound(engine.times(), previous.as_ref(), pl);
+                            if lb + 1e-9 >= to_beat {
+                                return lb;
                             }
                             match self.score_into(&engine, previous.as_ref(), pl, ws, &mut fork) {
                                 Ok((c, _)) => c,

@@ -26,6 +26,7 @@
 //! For bounded-degree graphs the depth is `O(n)` (8n + O(1) for `s = 1/2`,
 //! §5.2), which property tests in this crate check empirically.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -178,10 +179,13 @@ impl fmt::Debug for Router {
     }
 }
 
-/// Per-call routing state: the moving destinations plus flat masks over
-/// the vertices. A recursion sets its masks over its active list and
-/// clears them before its halves recurse, so each mask holds only the
-/// current recursion's vertices.
+/// Routing state: the moving destinations, flat masks over the vertices,
+/// the emitted swaps and reusable vertex lists. There is one per thread,
+/// reset at the top of every call, so a call that fails part-way cannot
+/// leak state into the next one. A recursion sets its masks over its
+/// active list and clears them before its halves recurse, so each mask
+/// holds only the current recursion's vertices.
+#[derive(Default)]
 struct Scratch {
     dest: Vec<Option<usize>>,
     active: Vec<bool>,
@@ -194,25 +198,42 @@ struct Scratch {
     /// Funnel BFS distances to the designated channel end.
     dist: Vec<Option<u32>>,
     queue: Vec<usize>,
+    /// Wildcard values of the recursion being coloured.
+    wild: Vec<usize>,
     /// Wrong-coloured values of the side being funnelled.
     wrong: Vec<usize>,
+    /// Every swap of the call as `(level, a, b)`, in emission order.
+    swaps: Vec<(usize, usize, usize)>,
+    /// Swaps per level, for bucketing `swaps` into the schedule.
+    level_len: Vec<usize>,
+    /// Spare buffers for halves that leaf freezing shrank.
+    spare: Vec<Vec<usize>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 impl Scratch {
-    fn new(targets: &[Option<usize>]) -> Self {
+    /// Starts a call on `targets`: every mask cleared, no swaps emitted.
+    fn reset(&mut self, targets: &[Option<usize>]) {
         let n = targets.len();
-        Scratch {
-            dest: targets.to_vec(),
-            active: vec![false; n],
-            in_left: vec![false; n],
-            white: vec![false; n],
-            frozen: vec![false; n],
-            used: vec![false; n],
-            channel_end: vec![false; n],
-            dist: vec![None; n],
-            queue: Vec::with_capacity(n),
-            wrong: Vec::with_capacity(n),
+        self.dest.clear();
+        self.dest.extend_from_slice(targets);
+        for mask in [
+            &mut self.active,
+            &mut self.in_left,
+            &mut self.white,
+            &mut self.frozen,
+            &mut self.used,
+            &mut self.channel_end,
+        ] {
+            mask.clear();
+            mask.resize(n, false);
         }
+        self.dist.clear();
+        self.dist.resize(n, None);
+        self.swaps.clear();
     }
 
     fn mark(&mut self, active: &[usize], split: &Split) {
@@ -239,6 +260,18 @@ impl Scratch {
         }
     }
 
+    /// The unfrozen vertices of `side` in a spare buffer, or `None` when
+    /// none is frozen and the side itself can be routed.
+    fn unfrozen(&mut self, side: &[usize]) -> Option<Vec<usize>> {
+        if !side.iter().any(|&v| self.frozen[v]) {
+            return None;
+        }
+        let mut rest = self.spare.pop().unwrap_or_default();
+        rest.clear();
+        rest.extend(side.iter().copied().filter(|&v| !self.frozen[v]));
+        Some(rest)
+    }
+
     /// Active, unfrozen and on the given side of the cut.
     fn in_side(&self, v: usize, left: bool) -> bool {
         self.active[v] && self.in_left[v] == left && !self.frozen[v]
@@ -248,12 +281,32 @@ impl Scratch {
         self.white[v] != self.in_left[v]
     }
 
-    fn swap(&mut self, u: usize, v: usize, level: &mut Vec<(usize, usize)>) {
+    fn swap(&mut self, u: usize, v: usize, level: usize) {
         self.dest.swap(u, v);
         self.white.swap(u, v);
         self.used[u] = true;
         self.used[v] = true;
-        level.push((u, v));
+        self.swaps.push((level, u, v));
+    }
+
+    /// Buckets the emitted swaps into `depth` levels. The counting sort is
+    /// stable, so each level keeps emission order: components in order,
+    /// and within a recursion its left half before its right.
+    fn schedule(&mut self, depth: usize) -> SwapSchedule {
+        self.level_len.clear();
+        self.level_len.resize(depth, 0);
+        for &(level, _, _) in &self.swaps {
+            self.level_len[level] += 1;
+        }
+        let mut levels: Vec<Vec<(PhysicalQubit, PhysicalQubit)>> = self
+            .level_len
+            .iter()
+            .map(|&len| Vec::with_capacity(len))
+            .collect();
+        for &(level, a, b) in &self.swaps {
+            levels[level].push((PhysicalQubit::new(a), PhysicalQubit::new(b)));
+        }
+        SwapSchedule { levels }
     }
 }
 
@@ -292,41 +345,34 @@ impl Router {
                 message: format!("targets length {} != graph size {n}", targets.len()),
             });
         }
-        let mut seen = vec![false; n];
-        for t in targets.iter().flatten() {
-            if *t >= n || seen[*t] {
-                return Err(PlaceError::InvalidPlacement {
-                    message: format!("destination {t} repeated or out of range"),
-                });
-            }
-            seen[*t] = true;
-        }
-        for (v, t) in targets.iter().enumerate() {
-            if let Some(t) = *t {
-                if self.comp_of[v] != self.comp_of[t] {
-                    return Err(PlaceError::RoutingImpossible {
-                        stuck: PhysicalQubit::new(v),
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            s.reset(targets);
+            // `used` doubles as the seen-destination mask until routing.
+            for &t in targets.iter().flatten() {
+                if t >= n || s.used[t] {
+                    return Err(PlaceError::InvalidPlacement {
+                        message: format!("destination {t} repeated or out of range"),
                     });
                 }
+                s.used[t] = true;
             }
-        }
-
-        let mut scratch = Scratch::new(targets);
-        let mut per_component = Vec::with_capacity(self.components.len());
-        for comp in &self.components {
-            per_component.push(self.route_rec(comp, &mut scratch)?);
-        }
-        // Components are disjoint: run their schedules in parallel.
-        let levels = merge_parallel(per_component);
-        Ok(SwapSchedule {
-            levels: levels
-                .into_iter()
-                .map(|lv| {
-                    lv.into_iter()
-                        .map(|(a, b)| (PhysicalQubit::new(a), PhysicalQubit::new(b)))
-                        .collect()
-                })
-                .collect(),
+            s.used.fill(false);
+            for (v, t) in targets.iter().enumerate() {
+                if let Some(t) = *t {
+                    if self.comp_of[v] != self.comp_of[t] {
+                        return Err(PlaceError::RoutingImpossible {
+                            stuck: PhysicalQubit::new(v),
+                        });
+                    }
+                }
+            }
+            // Components are disjoint: their schedules all start at level 0.
+            let mut depth = 0;
+            for comp in &self.components {
+                depth = depth.max(self.route_rec(comp, 0, s)?);
+            }
+            Ok(s.schedule(depth))
         })
     }
 
@@ -350,9 +396,11 @@ impl Router {
         self.splits.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn route_rec(&self, active: &[usize], s: &mut Scratch) -> Result<Vec<Vec<(usize, usize)>>> {
+    /// Routes the values on `active`, emitting its swaps from level `base`
+    /// on, and returns the number of levels it used.
+    fn route_rec(&self, active: &[usize], base: usize, s: &mut Scratch) -> Result<usize> {
         if active.iter().all(|&v| s.dest[v].is_none_or(|d| d == v)) {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         if active.len() < 2 {
             // A lone unsatisfied vertex cannot be fixed.
@@ -367,7 +415,7 @@ impl Router {
         // Wildcards are assigned to balance, preferring their current side
         // so they move as little as possible.
         let mut fixed_white = 0usize;
-        let mut wild: Vec<usize> = Vec::new();
+        s.wild.clear();
         for &v in active {
             match s.dest[v] {
                 Some(d) => {
@@ -376,7 +424,7 @@ impl Router {
                         fixed_white += 1;
                     }
                 }
-                None => wild.push(v),
+                None => s.wild.push(v),
             }
         }
         let left_len = split.left.len();
@@ -386,8 +434,8 @@ impl Router {
         );
         let mut need_white = left_len - fixed_white.min(left_len);
         // Wildcards already in the left half take white first.
-        wild.sort_unstable_by_key(|&v| (!s.in_left[v], v));
-        for &v in &wild {
+        s.wild.sort_unstable_by_key(|&v| (!s.in_left[v], v));
+        for &v in &s.wild {
             if need_white > 0 {
                 s.white[v] = true;
                 need_white -= 1;
@@ -395,14 +443,13 @@ impl Router {
         }
 
         // Exchange phase.
-        let mut levels: Vec<Vec<(usize, usize)>> = Vec::new();
+        let mut depth = 0;
         let max_iters = 8 * active.len() + 16; // safety margin over the 8n bound
         for _ in 0..max_iters {
             if !active.iter().any(|&v| !s.frozen[v] && s.misplaced(v)) {
                 break;
             }
-            let level = self.build_level(active, &split, s);
-            if level.is_empty() {
+            if !self.build_level(active, &split, base + depth, s) {
                 return Err(PlaceError::RoutingImpossible {
                     stuck: PhysicalQubit::new(
                         active
@@ -413,37 +460,36 @@ impl Router {
                     ),
                 });
             }
-            levels.push(level);
+            depth += 1;
         }
         debug_assert!(
             active.iter().all(|&v| s.frozen[v] || !s.misplaced(v)),
             "exchange phase exceeded its iteration budget"
         );
 
-        // Recurse on both halves (minus satisfied frozen leaves) in parallel.
-        let remaining = |side: &[usize]| -> Vec<usize> {
-            side.iter().copied().filter(|&v| !s.frozen[v]).collect()
-        };
-        let (la, lb) = (remaining(&split.left), remaining(&split.right));
+        // Recurse on both halves (minus satisfied frozen leaves) in
+        // parallel: both start right after the exchange levels.
+        let (left, right) = (s.unfrozen(&split.left), s.unfrozen(&split.right));
         s.clear(active);
-        let sub_a = if la.is_empty() {
-            Vec::new()
-        } else {
-            self.route_rec(&la, s)?
-        };
-        let sub_b = if lb.is_empty() {
-            Vec::new()
-        } else {
-            self.route_rec(&lb, s)?
-        };
-        levels.extend(merge_parallel(vec![sub_a, sub_b]));
-        Ok(levels)
+        let mut sub_depth = 0;
+        for half in [
+            left.as_deref().unwrap_or(&split.left),
+            right.as_deref().unwrap_or(&split.right),
+        ] {
+            if !half.is_empty() {
+                sub_depth = sub_depth.max(self.route_rec(half, base + depth, s)?);
+            }
+        }
+        s.spare.extend(left);
+        s.spare.extend(right);
+        Ok(depth + sub_depth)
     }
 
-    /// Builds one parallel swap level and applies it to the scratch state.
-    fn build_level(&self, active: &[usize], split: &Split, s: &mut Scratch) -> Vec<(usize, usize)> {
+    /// Builds one parallel swap level at index `level` and applies it to
+    /// the scratch state. Returns `false` if no swap was possible.
+    fn build_level(&self, active: &[usize], split: &Split, level: usize, s: &mut Scratch) -> bool {
         let graph = &self.graph;
-        let mut level: Vec<(usize, usize)> = Vec::new();
+        let start = s.swaps.len();
 
         // 1. Leaf–target override (§5.3): deliver values straight into leaf
         //    destinations and retire the leaf.
@@ -474,7 +520,7 @@ impl Router {
                 if working_degree != 1 || s.dest[d] == Some(d) {
                     continue;
                 }
-                s.swap(v, d, &mut level);
+                s.swap(v, d, level);
                 s.frozen[d] = true;
             }
         }
@@ -487,7 +533,7 @@ impl Router {
                 continue;
             }
             if !s.white[a] && s.white[b] {
-                s.swap(a, b, &mut level);
+                s.swap(a, b, level);
             }
         }
 
@@ -498,29 +544,23 @@ impl Router {
         //    provably meet; the other channel edges still exchange
         //    opportunistically in step 2 above.
         if let Some(&(a, b)) = split.channel.first() {
-            self.funnel(active, a, true, s, &mut level);
-            self.funnel(active, b, false, s, &mut level);
+            self.funnel(active, a, true, level, s);
+            self.funnel(active, b, false, level, s);
         }
 
-        for &(u, v) in &level {
+        for i in start..s.swaps.len() {
+            let (_, u, v) = s.swaps[i];
             s.used[u] = false;
             s.used[v] = false;
         }
-        level
+        s.swaps.len() > start
     }
 
     /// Steps each wrong-coloured value on one side of the cut one hop
     /// closer to `source`, the side's end of the designated channel edge,
     /// through a right-coloured neighbour. Distances come from a BFS on the
     /// graph masked to the side's unfrozen vertices.
-    fn funnel(
-        &self,
-        active: &[usize],
-        source: usize,
-        left: bool,
-        s: &mut Scratch,
-        level: &mut Vec<(usize, usize)>,
-    ) {
+    fn funnel(&self, active: &[usize], source: usize, left: bool, level: usize, s: &mut Scratch) {
         if !s.in_side(source, left) {
             return;
         }
@@ -605,24 +645,6 @@ fn bisect(graph: &Graph, active: &[usize]) -> Result<Split> {
             .map(|(a, b)| (global(a), global(b)))
             .collect(),
     })
-}
-
-/// Zips any number of vertex-disjoint level sequences into one.
-fn merge_parallel(mut parts: Vec<Vec<Vec<(usize, usize)>>>) -> Vec<Vec<(usize, usize)>> {
-    let depth = parts.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(depth);
-    for i in 0..depth {
-        let mut level = Vec::new();
-        for part in &mut parts {
-            if i < part.len() {
-                level.append(&mut part[i]);
-            }
-        }
-        if !level.is_empty() {
-            out.push(level);
-        }
-    }
-    out
 }
 
 /// A simple baseline router for comparison: completes the wildcard values
@@ -1038,9 +1060,10 @@ mod tests {
         targets
     }
 
-    #[test]
-    fn reused_router_matches_fresh_routes() {
-        let two_components = Graph::from_edges(
+    /// A path and a ring with a pendant: two components of different
+    /// shapes.
+    fn two_components() -> Graph {
+        Graph::from_edges(
             9,
             [
                 (0, 1),
@@ -1053,14 +1076,18 @@ mod tests {
                 (6, 8),
             ],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn reused_router_matches_fresh_routes() {
         let graphs = [
             generate::chain(10),
             generate::grid(4, 5),
             generate::ring(9),
             generate::star(7),
             generate::caterpillar(5, 2),
-            two_components,
+            two_components(),
         ];
         for (gi, g) in graphs.iter().enumerate() {
             for leaf_override in [true, false] {
@@ -1091,5 +1118,49 @@ mod tests {
                 assert!(!router.memo().is_empty());
             }
         }
+    }
+
+    #[test]
+    fn interleaved_routers_match_fresh_thread_routes() {
+        // One thread's scratch serves routers of different sizes in turn,
+        // failing calls included (a rejected duplicate destination leaves
+        // the seen mask half set). Every answer must equal a route
+        // computed on a freshly spawned thread, whose scratch is new.
+        let routers: Vec<Router> = [
+            generate::grid(5, 5),
+            generate::chain(4),
+            two_components(),
+            generate::caterpillar(5, 2),
+            generate::ring(9),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, g)| {
+            Router::new(
+                g,
+                RouterConfig {
+                    leaf_override: i % 2 == 0,
+                },
+            )
+        })
+        .collect();
+        let mut rng = StdRng::seed_from_u64(14);
+        let (mut ok, mut failed) = (0, 0);
+        for trial in 0..300 {
+            let router = &routers[rng.gen_range(0..routers.len())];
+            let targets = reuse_input(router, trial, &mut rng);
+            let reused = router.route(&targets);
+            let (graph, config) = (router.graph.clone(), router.config);
+            let fresh = std::thread::spawn(move || route_permutation(&graph, &targets, &config))
+                .join()
+                .unwrap();
+            assert_eq!(reused, fresh, "trial {trial}");
+            if reused.is_ok() {
+                ok += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        assert!(ok >= 180 && failed >= 60, "{ok} ok, {failed} failed");
     }
 }

@@ -19,13 +19,12 @@ use qcp_place::{PlaceError, Placer, PlacerConfig, SearchBudget, Strategy};
 /// Generous scheduler-noise allowance on top of the deadline. The kernel
 /// overshoot itself is bounded by one poll stride (~sub-millisecond); the
 /// slack absorbs coarse checkpoints between searches and CI jitter.
-/// qft6@grid:8x8 runs for many *seconds* unbudgeted, so the bound stays
-/// meaningful with room to spare.
+/// aqft12@grid:16x16 runs for about 1.5 s unbudgeted on a 2-vCPU host,
+/// so the bound stays meaningful with room to spare.
 const SLACK: Duration = Duration::from_millis(750);
 
-fn grid_8x8() -> qcp_env::Environment {
-    "grid:8x8"
-        .parse::<TopologySpec>()
+fn grid(spec: &str) -> qcp_env::Environment {
+    spec.parse::<TopologySpec>()
         .expect("spec")
         .build(Delays::uniform(10.0))
 }
@@ -73,8 +72,8 @@ fn kernel_overshoot_is_bounded_by_one_poll_stride() {
 
 #[test]
 fn exact_placement_respects_wall_clock_deadlines() {
-    let env = grid_8x8();
-    let circuit = qcp_circuit::library::named("qft6").expect("library circuit");
+    let env = grid("grid:16x16");
+    let circuit = qcp_circuit::library::named("aqft12").expect("library circuit");
     for deadline_ms in [5_u64, 25, 60] {
         let deadline = Duration::from_millis(deadline_ms);
         let config = PlacerConfig::with_threshold(env.connectivity_threshold().expect("threshold"))
@@ -88,7 +87,7 @@ fn exact_placement_respects_wall_clock_deadlines() {
             elapsed <= deadline + SLACK,
             "deadline {deadline_ms} ms overshot: took {elapsed:?}"
         );
-        // qft6@grid:8x8 cannot finish exact search in tens of
+        // aqft12@grid:16x16 cannot finish exact search in tens of
         // milliseconds; the budget error is the expected shape.
         assert!(
             matches!(result, Err(PlaceError::BudgetExhausted { .. })),
@@ -99,7 +98,7 @@ fn exact_placement_respects_wall_clock_deadlines() {
 
 #[test]
 fn hybrid_placement_answers_within_the_deadline_on_the_qasm_corpus() {
-    let env = grid_8x8();
+    let env = grid("grid:8x8");
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/qasm");
     let mut paths: Vec<_> = std::fs::read_dir(corpus)
         .expect("qasm corpus directory")
