@@ -105,12 +105,6 @@ impl Budget {
         self.max_nodes.saturating_sub(self.nodes)
     }
 
-    /// The wall-clock deadline, if any, for drivers that poll it outside
-    /// the meter (e.g. parallel scoring workers sharing one instant).
-    pub fn deadline_instant(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Trips the meter without charging further nodes. Drivers that
     /// meter work in schedule-independent bulk (charge first, then
     /// execute) use this to report exhaustion at exactly the charged

@@ -4,14 +4,12 @@
 //! assumption that gate fidelities are inversely proportional to the
 //! coupling strength/gate runtime, otherwise, a function of both may be
 //! considered" (§1), and notes that unused drift couplings "get eliminated
-//! via a technique called refocussing" (§2). This module quantifies both
-//! costs for a timed placement:
+//! via a technique called refocussing" (§2). This module quantifies the
+//! exposure behind both costs for a timed placement:
 //!
 //! * [`ExposureReport`] — how long each nucleus sits idle (dephasing) and
 //!   how long every *unused* coupling keeps evolving (needing refocusing
-//!   pulses);
-//! * [`decoherence_fidelity`] — a simple exponential-decay estimate of the
-//!   experiment's fidelity from its makespan.
+//!   pulses).
 
 use qcp_circuit::Time;
 use qcp_env::{Environment, PhysicalQubit};
@@ -74,27 +72,6 @@ impl ExposureReport {
         }
     }
 
-    /// Total drift exposure across all couplings — the quantity a
-    /// refocusing scheme must cancel.
-    pub fn total_coupling_exposure(&self) -> Time {
-        self.coupling_exposure.iter().map(|&(_, _, t)| t).sum()
-    }
-
-    /// Estimated number of refocusing π-pulses, assuming one pulse per
-    /// `period` of exposure on each coupling (a coarse upper bound; real
-    /// schemes share pulses across couplings).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn refocusing_pulse_estimate(&self, period: Time) -> usize {
-        assert!(!period.is_zero(), "refocusing period must be positive");
-        self.coupling_exposure
-            .iter()
-            .map(|&(_, _, t)| (t.units() / period.units()).ceil() as usize)
-            .sum()
-    }
-
     /// The couplings with the largest exposure, descending.
     pub fn worst_couplings(&self, k: usize) -> Vec<(PhysicalQubit, PhysicalQubit, Time)> {
         let mut v = self.coupling_exposure.clone();
@@ -102,18 +79,6 @@ impl ExposureReport {
         v.truncate(k);
         v
     }
-}
-
-/// Exponential-decay fidelity estimate: `exp(-active · makespan / t2)`
-/// where `active` is the number of nuclei hosting logical qubits. The
-/// inverse-proportionality assumption of §1 in its simplest usable form.
-///
-/// # Panics
-///
-/// Panics if `t2` is zero.
-pub fn decoherence_fidelity(makespan: Time, active_qubits: usize, t2: Time) -> f64 {
-    assert!(!t2.is_zero(), "decoherence time must be positive");
-    (-(active_qubits as f64) * makespan.units() / t2.units()).exp()
 }
 
 #[cfg(test)]
@@ -173,52 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn pulse_estimate_scales_with_period() {
-        let (report, _) = report_for_qec3();
-        let fine = report.refocusing_pulse_estimate(Time::from_units(10.0));
-        let coarse = report.refocusing_pulse_estimate(Time::from_units(100.0));
-        assert!(fine > coarse);
-        assert!(
-            coarse >= report.coupling_exposure.len(),
-            "at least one pulse per pair"
-        );
-    }
-
-    #[test]
     fn worst_couplings_sorted() {
         let (report, _) = report_for_qec3();
         let worst = report.worst_couplings(3);
         for w in worst.windows(2) {
             assert!(w[0].2 >= w[1].2);
-        }
-    }
-
-    #[test]
-    fn fidelity_estimate_behaviour() {
-        let t2 = Time::from_seconds(1.0);
-        let fast = decoherence_fidelity(Time::from_units(136.0), 3, t2);
-        let slow = decoherence_fidelity(Time::from_units(770.0), 3, t2);
-        assert!(fast > slow, "better placements keep more fidelity");
-        assert!(fast > 0.9 && fast < 1.0);
-        assert!((decoherence_fidelity(Time::ZERO, 5, t2) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn placements_rank_identically_by_time_and_fidelity() {
-        // §1's equivalence: minimizing runtime maximizes this fidelity.
-        let env = molecules::acetyl_chloride();
-        let circuit = library::qec3_encoder();
-        let model = CostModel::overlapped();
-        let t2 = Time::from_seconds(1.0);
-        let mut scored: Vec<(f64, f64)> = Vec::new();
-        for seed in 0..6 {
-            let p = crate::baselines::random_placement(3, &env, seed).unwrap();
-            let t = crate::cost::placed_runtime(&circuit, &env, &p, &model);
-            scored.push((t.units(), decoherence_fidelity(t, 3, t2)));
-        }
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for w in scored.windows(2) {
-            assert!(w[0].1 >= w[1].1, "fidelity must fall as runtime grows");
         }
     }
 }

@@ -100,25 +100,6 @@ impl Timeline {
         self.events.iter().filter(|e| e.occupies(v)).collect()
     }
 
-    /// Fraction of the makespan each nucleus spends busy (0 for an empty
-    /// timeline).
-    pub fn utilization(&self) -> Vec<f64> {
-        let total = self.makespan.units();
-        (0..self.qubit_count)
-            .map(|i| {
-                if total == 0.0 {
-                    return 0.0;
-                }
-                let busy: f64 = self
-                    .per_qubit(PhysicalQubit::new(i))
-                    .iter()
-                    .map(|e| e.duration().units())
-                    .sum();
-                busy / total
-            })
-            .collect()
-    }
-
     /// Renders a textual Gantt chart with `width` columns; nuclei are
     /// labelled by `names` (falling back to `p{i}`). Busy time shows as
     /// `#` for couplings and `=` for pulses.
@@ -231,9 +212,6 @@ mod tests {
         let tl = Timeline::compute(&s, &env, &CostModel::overlapped());
         assert_eq!(tl.per_qubit(p(1)).len(), 2);
         assert_eq!(tl.per_qubit(p(0)).len(), 1);
-        let u = tl.utilization();
-        assert!((u[1] - 1.0).abs() < 1e-9, "middle qubit always busy");
-        assert!((u[0] - 0.5).abs() < 1e-9);
         assert!(tl.is_consistent());
     }
 
